@@ -111,6 +111,13 @@ func (d *dataset) add(vals []float64, keys []uint8) {
 	d.keys = append(d.keys, keys...)
 }
 
+// bytes is what the values and keys hold, with their spare capacity.
+// The sorted copy and the cached references are built only when
+// answers are graded, after the timed phase.
+func (d *dataset) bytes() int64 {
+	return int64(cap(d.vals))*8 + int64(cap(d.keys))
+}
+
 // population returns the values a query over the first n records sees:
 // every value, or the ones that pass keep.
 func (d *dataset) population(n int, keep func(float64) bool) []float64 {

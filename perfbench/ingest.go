@@ -11,9 +11,10 @@ import (
 // cycle is one append of ingest-watch and everything the reader did
 // after it: poll every subscriber, then issue the cycle's one-shots.
 type cycle struct {
-	upto     map[string]int // record counts the cycle's answers must cover
-	watch    []answer       // each maintained query's report after the append
-	oneshots []op
+	upto      map[string]int // record counts the cycle's answers must cover
+	watch     []answer       // each maintained query's report after the append
+	refreshes []int          // each maintained query's refresh count after the append
+	oneshots  []op
 
 	appended time.Time // the append returned
 	polled   time.Time // every subscriber holds a report covering the append
@@ -37,6 +38,7 @@ func (d *deployment) runCycle(seed uint64, k int, path string, data []byte, vals
 	ctx := context.Background()
 	var err error
 	_, before := tc.call("serve.Append", func() { _, _, err = d.srv.Append(path, data) })
+	appended := time.Now()
 	lt.attempted++
 	if err != nil {
 		lt.failed++
@@ -45,8 +47,7 @@ func (d *deployment) runCycle(seed uint64, k int, path string, data []byte, vals
 	if tc != nil {
 		tc.appended(path, data, before)
 	}
-	d.files[path].add(vals, keys)
-	cy := cycle{upto: d.fullCounts(), watch: make([]answer, len(d.w.watches)), appended: time.Now()}
+	cy := cycle{watch: make([]answer, len(d.w.watches)), refreshes: make([]int, len(d.w.watches)), appended: appended}
 	polled := make([]bool, len(d.w.watches))
 	for _, sub := range d.subs {
 		var info serve.WatchInfo
@@ -60,6 +61,7 @@ func (d *deployment) runCycle(seed uint64, k int, path string, data []byte, vals
 			lt.grades.notes = append(lt.grades.notes, fmt.Sprintf("poll %s: %v", sub.id, perr))
 			continue
 		}
+		cy.refreshes[sub.watch] = info.Refreshes
 		if info.Refreshes > lastRefreshes[sub.watch] {
 			lastRefreshes[sub.watch] = info.Refreshes
 			lt.refreshMs = append(lt.refreshMs, ms(lat))
@@ -78,6 +80,10 @@ func (d *deployment) runCycle(seed uint64, k int, path string, data []byte, vals
 		}
 	}
 	cy.polled = time.Now()
+	// The oracle catches up only now, so that append and freshness
+	// latency hold none of its work.
+	d.grow(path, vals, keys)
+	cy.upto = d.fullCounts()
 	var s *shape
 	var specs []serve.QuerySpec
 	if n := len(d.w.stream.oneshots); n > 0 {
@@ -141,14 +147,8 @@ func (d *deployment) ingestLoop(seed uint64, dur time.Duration) loadResult {
 		lt.freshMs = append(lt.freshMs, ms(cy.polled.Sub(due)))
 		lt.cycles = append(lt.cycles, cy)
 	}
-	// The timed phase checks shapes, finiteness and exact answers;
-	// coverage and σ come from the quality set.
 	lt.elapsed = time.Since(start)
 	lt.stats = d.srv.Stats()
-	for _, cy := range lt.cycles {
-		lt.grades.add(d.gradeCycle(cy, true))
-	}
-	lt.grades.intervals, lt.grades.covered, lt.grades.sampled, lt.grades.sigmaMet = 0, 0, 0, 0
 	return lt
 }
 
@@ -194,37 +194,62 @@ func (d *deployment) replayCycles(seed uint64, tc *tracedCycles) ([]cycle, loadR
 }
 
 // sameCycles compares replayed cycles with the timed phase's: the
-// seed-determined metrics over the cycles both ran must agree, and every
-// answer that differs in any bit is counted and noted.
-func (d *deployment) sameCycles(timed, replayed []cycle, t *tally) (same bool, differing int) {
+// seed-determined metrics over the cycles both ran, the records the
+// one-shots read, every maintained query's refresh count and every
+// report's plan and growth generations must agree. Answers that differ
+// in any bit are counted, of compared answers in all, and noted.
+func (d *deployment) sameCycles(timed, replayed []cycle, t *tally) (same bool, compared, differing int) {
 	n := min(len(timed), len(replayed))
+	same = true
 	var a, b tally
 	var readA, readB int64
+	compare := func(what string, x, y answer) {
+		compared++
+		ok, bits := sameAnswer(what, x, y, t)
+		same = same && ok
+		if !bits {
+			differing++
+		}
+	}
 	for k := 0; k < n; k++ {
 		a.add(d.gradeCycle(timed[k], k == n-1))
 		b.add(d.gradeCycle(replayed[k], k == n-1))
-		for wi := range d.w.watches {
-			if fingerprint(timed[k].watch[wi]) != fingerprint(replayed[k].watch[wi]) {
-				differing++
-				t.notes = append(t.notes, fmt.Sprintf("determinism: %s after append %d differs on replay", d.w.watches[wi].label, k))
+		for wi, ws := range d.w.watches {
+			what := fmt.Sprintf("%s after append %d", ws.label, k)
+			if x, y := timed[k].refreshes[wi], replayed[k].refreshes[wi]; x != y {
+				same = false
+				t.notes = append(t.notes, fmt.Sprintf("determinism: %s had refreshed %d times, %d on replay", what, x, y))
 			}
+			compare(what, timed[k].watch[wi], replayed[k].watch[wi])
 		}
-		for i := 0; i < len(replayed[k].oneshots) && i < len(timed[k].oneshots); i++ {
-			x, y := timed[k].oneshots[i], replayed[k].oneshots[i]
+		if len(timed[k].oneshots) != len(replayed[k].oneshots) {
+			same = false
+			t.notes = append(t.notes, fmt.Sprintf("determinism: cycle %d issued %d one-shots, %d on replay", k, len(timed[k].oneshots), len(replayed[k].oneshots)))
+			continue
+		}
+		for i, x := range timed[k].oneshots {
+			y := replayed[k].oneshots[i]
+			what := fmt.Sprintf("one-shot %d of cycle %d", i, k)
+			if (x.err == nil) != (y.err == nil) {
+				same = false
+				compared++
+				differing++
+				t.notes = append(t.notes, fmt.Sprintf("determinism: %s failed in one run only: %v / %v", what, x.err, y.err))
+				continue
+			}
+			if x.err != nil {
+				continue
+			}
 			readA += x.res.Cost.RecordsRead
 			readB += y.res.Cost.RecordsRead
-			if (x.err == nil) != (y.err == nil) || (x.err == nil && fingerprint(answerOf(x.res)) != fingerprint(answerOf(y.res))) {
-				differing++
-				t.notes = append(t.notes, fmt.Sprintf("determinism: one-shot %d of cycle %d differs on replay:\n  timed    %s\n  replayed %s",
-					i, k, fingerprint(answerOf(x.res)), fingerprint(answerOf(y.res))))
-			}
+			compare(what, answerOf(x.res), answerOf(y.res))
 		}
 	}
-	same = sameMetrics(a, b, t) && readA == readB
+	same = sameMetrics(a, b, t) && same && readA == readB
 	if readA != readB {
 		t.notes = append(t.notes, fmt.Sprintf("determinism: one-shots read %d records, %d on replay", readA, readB))
 	}
-	return same, differing
+	return same, compared, differing
 }
 
 // ingestQuality replays the quality cycles on the spare deployment and
@@ -243,8 +268,8 @@ func (d *deployment) ingestQuality(seed uint64, lt loadResult) qualityResult {
 			}
 		}
 	}
-	same, differing := d.sameCycles(lt.cycles, cycles, &q.grades)
+	same, compared, differing := d.sameCycles(lt.cycles, cycles, &q.grades)
 	q.deterministic = same && rl.failed == 0 && len(cycles) == d.w.quality
-	q.differing = differing
+	q.compared, q.differing = compared, differing
 	return q
 }

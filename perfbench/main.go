@@ -3,7 +3,7 @@
 // grades every answer against its own oracle and prints one JSON result
 // line:
 //
-//	bash perfbench/run.sh --workload adhoc-plan --seed 1 --seconds 10 --trace 0
+//	bash perfbench/run.sh --workload deep-resample --seed 1 --seconds 10 --trace 0
 //
 // With --trace 0 the result holds the end-to-end metrics, measured with
 // no tracing installed. With --trace 1 the run then repeats part of its
@@ -22,7 +22,6 @@ import (
 	"runtime"
 	"runtime/metrics"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,7 +36,7 @@ import (
 const setupRepeats = 3
 
 func main() {
-	name := flag.String("workload", "", "workload: adhoc-plan, deep-resample or ingest-watch")
+	name := flag.String("workload", "", "workload: deep-resample or ingest-watch")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	seconds := flag.Int("seconds", 10, "length of the timed phase")
 	trace := flag.Int("trace", 0, "1 runs the traced pass and reports per-layer metrics")
@@ -106,20 +105,27 @@ func run(w *workload, seed uint64, dur time.Duration, traced bool) (*result, err
 		return nil, err
 	}
 
+	// The timed phase. The heap sampler stops before any grading, and it
+	// leaves out the oracle's own copy of the data.
 	runtime.GC()
 	var lt loadResult
-	heap := startHeapSampler()
-	if w.clients == 0 {
+	heap := startHeapSampler(&d.oracleBytes)
+	if w.shapes == nil {
 		lt = d.ingestLoop(seed, dur)
 	} else {
+		// The side stream runs first: every seed's files have the same
+		// sizes, so it meets the same heap whatever the queries do. The
+		// client then starts from a collected heap.
+		side := d.ingestLoop(seed, 0)
+		runtime.GC()
 		lt = d.closedLoop(seed, dur)
-		lt.merge(d.ingestLoop(seed, 0))
-		d.gradeOps(&lt)
+		lt.merge(side)
 	}
 	e2e.set("heap_peak_mb", "MiB", heap.stop()/(1<<20))
+	d.gradeTimed(&lt)
 
 	var q qualityResult
-	if w.clients == 0 {
+	if w.shapes == nil {
 		// A second deployment from the same seed replays the first
 		// appends for the quality set and the determinism check.
 		spare, err := setup(w, seed)
@@ -145,6 +151,7 @@ func run(w *workload, seed uint64, dur time.Duration, traced bool) (*result, err
 	e2e.set("append_p90_ms", "ms", pct(lt.appendMs, 90))
 	e2e.set("fresh_p50_ms", "ms", pct(lt.freshMs, 50))
 	e2e.set("fresh_p90_ms", "ms", pct(lt.freshMs, 90))
+	e2e.set("answers_repeated_share", "share", 1-ratio(float64(q.differing), float64(q.compared)))
 
 	fmt.Fprintf(os.Stderr, "perfbench: %s seed %d: %d operations (%d queries, %d appends) in %.1fs, %d failed; quality set %d intervals, %d sampled reports\n",
 		w.name, seed, lt.attempted, len(lt.queryMs), len(lt.appendMs), lt.elapsed.Seconds(), failed, q.grades.intervals, q.grades.sampled)
@@ -153,9 +160,7 @@ func run(w *workload, seed uint64, dur time.Duration, traced bool) (*result, err
 		ops = append(ops, cy.oneshots...)
 	}
 	printShapes(ops)
-	if q.differing > 0 {
-		fmt.Fprintf(os.Stderr, "perfbench: %d answers did not repeat bit for bit when run again with the same seed\n", q.differing)
-	}
+	fmt.Fprintf(os.Stderr, "perfbench: determinism: %d of %d answers did not repeat bit for bit when run again with the same seed\n", q.differing, q.compared)
 	correct := notes.mismatched == 0 && q.deterministic
 	for _, n := range notes.notes {
 		fmt.Fprintf(os.Stderr, "perfbench: %s\n", n)
@@ -187,23 +192,24 @@ type loadResult struct {
 	lagMs     []float64 // how late the generator issued each append
 	refreshMs []float64 // watch polls that paid a refresh
 
-	ops    []op    // closed loops: every one-shot, in completion order per client
+	ops    []op    // closed loop: every one-shot, in issue order
 	cycles []cycle // ingest-watch: every append cycle
 	stats  serve.Stats
 }
 
 // op is one one-shot query and its outcome.
 type op struct {
-	client, idx int
-	q           query
-	lat         time.Duration
-	res         serve.QueryResult
-	err         error
+	idx int
+	q   query
+	lat time.Duration
+	res serve.QueryResult
+	err error
 }
 
-// querySeed gives every (client, index) its own query seed.
-func querySeed(seed uint64, client, idx int) uint64 {
-	x := seed*0x9e3779b97f4a7c15 + uint64(client)<<32 + uint64(idx) + 1
+// querySeed gives every (stream, index) its own query seed: stream 0 is
+// the closed loop's client, stream 99 ingest-watch's reader.
+func querySeed(seed uint64, stream, idx int) uint64 {
+	x := seed*0x9e3779b97f4a7c15 + uint64(stream)<<32 + uint64(idx) + 1
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -211,44 +217,31 @@ func querySeed(seed uint64, client, idx int) uint64 {
 	return x ^ x>>31
 }
 
-// nextQuery is client c's idx-th query. Clients walk the shape list
-// round robin from different offsets, so every run sees the same mix
-// and only the query seeds change with the workload seed.
-func (d *deployment) nextQuery(seed uint64, c, idx int) query {
-	s := &d.w.shapes[(idx+c*3)%len(d.w.shapes)]
-	return query{shape: s, spec: s.spec(querySeed(seed, c, idx), 0)}
+// nextQuery is the closed loop's idx-th query. It walks the shape list
+// round robin, so every run sees the same mix and only the query seeds
+// change with the workload seed.
+func (d *deployment) nextQuery(seed uint64, idx int) query {
+	s := &d.w.shapes[idx%len(d.w.shapes)]
+	return query{shape: s, spec: s.spec(querySeed(seed, 0, idx), 0)}
 }
 
-// minQueries is the fewest one-shots a closed loop completes, so that
+// minQueries is the fewest one-shots the closed loop completes, so that
 // query_p90_ms has at least ten samples above it.
 const minQueries = 100
 
-// closedLoop runs the workload's clients against the server: each
-// client sends its next query when the previous one is answered. The
-// loop lasts dur, and longer if needed to complete minQueries.
+// closedLoop runs the workload's client against the server: it sends
+// its next query when the previous one is answered. The loop lasts dur,
+// and longer if needed to complete minQueries.
 func (d *deployment) closedLoop(seed uint64, dur time.Duration) loadResult {
-	perClient := make([][]op, d.w.clients)
-	var done atomic.Int64
+	var lt loadResult
 	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < d.w.clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; time.Since(start) < dur || done.Load() < minQueries; i++ {
-				q := d.nextQuery(seed, c, i)
-				t0 := time.Now()
-				res, err := d.srv.Query(context.Background(), q.spec)
-				perClient[c] = append(perClient[c], op{client: c, idx: i, q: q, lat: time.Since(t0), res: res, err: err})
-				done.Add(1)
-			}
-		}()
+	for i := 0; time.Since(start) < dur || i < minQueries; i++ {
+		q := d.nextQuery(seed, i)
+		t0 := time.Now()
+		res, err := d.srv.Query(context.Background(), q.spec)
+		lt.ops = append(lt.ops, op{idx: i, q: q, lat: time.Since(t0), res: res, err: err})
 	}
-	wg.Wait()
-	lt := loadResult{elapsed: time.Since(start)}
-	for _, ops := range perClient {
-		lt.ops = append(lt.ops, ops...)
-	}
+	lt.elapsed = time.Since(start)
 	return lt
 }
 
@@ -262,10 +255,10 @@ func (lt *loadResult) merge(side loadResult) {
 	lt.stats = side.stats
 }
 
-// gradeOps counts the closed loop's one-shots and checks each answer's
-// shape, finiteness and exact value. Coverage and σ are graded on the
-// quality set only.
-func (d *deployment) gradeOps(lt *loadResult) {
+// gradeTimed counts the timed phase's operations and checks each
+// answer's shape, finiteness and exact value against the oracle.
+// Coverage and σ are graded on the quality set only.
+func (d *deployment) gradeTimed(lt *loadResult) {
 	var t tally
 	counts := d.fullCounts()
 	for _, o := range lt.ops {
@@ -278,6 +271,9 @@ func (d *deployment) gradeOps(lt *loadResult) {
 		lt.queryMs = append(lt.queryMs, ms(o.lat))
 		lt.waitMs = append(lt.waitMs, ms(o.lat-o.res.Elapsed))
 		t.add(d.check(o.q.shape, answerOf(o.res), counts))
+	}
+	for _, cy := range lt.cycles {
+		t.add(d.gradeCycle(cy, true))
 	}
 	t.intervals, t.covered, t.sampled, t.sigmaMet = 0, 0, 0, 0
 	lt.grades.add(t)
@@ -297,61 +293,34 @@ type qualityResult struct {
 	grades         tally
 	recordsRead    float64 // simcost.RecordsRead summed over the quality set
 	recordsQueried float64 // records in the queried files, summed the same way
-	deterministic  bool    // the seed-determined metrics repeated
-	differing      int     // answers that did not repeat bit for bit
-	ops            []op    // closed loops: the quality set, each run alone
-	again          []op    // closed loops: the queries run a second time, alone
+	deterministic  bool    // the seed-determined metrics and plans repeated
+	compared       int     // answers the determinism check compared
+	differing      int     // of which did not repeat bit for bit
+	again          []op    // closed loop: the first w.traced queries run again
 	cycles         []cycle // ingest-watch: the replayed cycles
 }
 
-// queryQuality grades each client's first w.quality queries. Their
-// simcost deltas must be their own, so they must have run one at a time:
-// with one client the timed phase already ran them that way, and only
-// the first w.traced are run again, on a fresh server, for the
-// determinism check. With several clients the whole set is run again,
-// one query at a time, and the determinism check compares it with the
-// timed phase's answers to the same specs.
+// queryQuality grades the closed loop's first w.quality queries. One
+// client ran them one at a time, so each one's simcost delta is its own.
+// For the determinism check the first w.traced of them are run again on
+// a fresh server and compared with the timed phase's answers.
 func (d *deployment) queryQuality(seed uint64, lt loadResult) qualityResult {
 	var q qualityResult
-	timed := map[[2]int]op{}
-	for _, o := range lt.ops {
-		timed[[2]int{o.client, o.idx}] = o
-	}
-	rerun := d.w.quality
-	if d.w.clients == 1 {
-		rerun = d.w.traced
-		for _, o := range lt.ops {
-			if o.idx < d.w.quality {
-				q.ops = append(q.ops, o)
-			}
-		}
-	}
+	q.grades, q.recordsRead, q.recordsQueried = d.gradeSet(lt.ops[:min(d.w.quality, len(lt.ops))])
 	srv, err := serve.New(d.env, serve.Config{})
 	if err != nil {
 		q.grades.malformed++
 		q.grades.notes = append(q.grades.notes, err.Error())
 		return q
 	}
-	var again, first []op
-	for c := 0; c < d.w.clients; c++ {
-		for i := 0; i < rerun; i++ {
-			qq := d.nextQuery(seed, c, i)
-			t0 := time.Now()
-			res, err := srv.Query(context.Background(), qq.spec)
-			o := op{client: c, idx: i, q: qq, lat: time.Since(t0), res: res, err: err}
-			q.again = append(q.again, o)
-			if d.w.clients > 1 {
-				q.ops = append(q.ops, o)
-			}
-			if t, ok := timed[[2]int{c, i}]; ok {
-				again, first = append(again, o), append(first, t)
-			}
-		}
+	for i := 0; i < d.w.traced && i < len(lt.ops); i++ {
+		qq := d.nextQuery(seed, i)
+		t0 := time.Now()
+		res, err := srv.Query(context.Background(), qq.spec)
+		q.again = append(q.again, op{idx: i, q: qq, lat: time.Since(t0), res: res, err: err})
 	}
-	q.grades, q.recordsRead, q.recordsQueried = d.gradeSet(q.ops)
-	// A concurrent timed phase shares simcost deltas between queries, so
-	// records read are compared only when the timed phase ran alone.
-	q.deterministic, q.differing = d.sameSets(first, again, d.w.clients == 1, &q.grades)
+	q.deterministic, q.differing = d.sameSets(lt.ops[:len(q.again)], q.again, &q.grades)
+	q.compared = len(q.again)
 	return q
 }
 
@@ -373,20 +342,66 @@ func (d *deployment) gradeSet(ops []op) (t tally, read, queried float64) {
 }
 
 // sameSets is the determinism check over two runs of the same one-shot
-// specs: their seed-determined metrics must agree (records read only
-// when compareRead). It also counts the answers that differ in any bit.
-func (d *deployment) sameSets(first, again []op, compareRead bool, notes *tally) (same bool, differing int) {
+// specs: their seed-determined metrics, the records they read and every
+// report's plan (B, PlannedN) and growth generations must agree. It
+// also counts the answers that differ in any bit.
+func (d *deployment) sameSets(first, again []op, notes *tally) (same bool, differing int) {
 	a, readA, _ := d.gradeSet(first)
 	b, readB, _ := d.gradeSet(again)
+	same = sameMetrics(a, b, notes)
+	if readA != readB {
+		same = false
+		notes.notes = append(notes.notes, fmt.Sprintf("determinism: the queries read %v records, %v when run again", readA, readB))
+	}
 	for i := range first {
 		x, y := first[i], again[i]
-		if (x.err == nil) != (y.err == nil) || x.err == nil && fingerprint(answerOf(x.res)) != fingerprint(answerOf(y.res)) {
+		what := fmt.Sprintf("%s (query %d)", x.q.shape.label, x.idx)
+		if (x.err == nil) != (y.err == nil) {
+			same = false
 			differing++
-			notes.notes = append(notes.notes, fmt.Sprintf("determinism: %s (client %d query %d) answered differently when run again:\n  first %s\n  again %s",
-				x.q.shape.label, x.client, x.idx, fingerprint(answerOf(x.res)), fingerprint(answerOf(y.res))))
+			notes.notes = append(notes.notes, fmt.Sprintf("determinism: %s failed in one run only: %v / %v", what, x.err, y.err))
+			continue
+		}
+		if x.err != nil {
+			continue
+		}
+		ok, bits := sameAnswer(what, answerOf(x.res), answerOf(y.res), notes)
+		same = same && ok
+		if !bits {
+			differing++
 		}
 	}
-	return sameMetrics(a, b, notes) && (!compareRead || readA == readB), differing
+	return same, differing
+}
+
+// sameAnswer compares two answers to the same spec and seed. plan is
+// false, and a note says why, when a report's B, PlannedN or growth
+// generations differ; bits is false when the answers differ in any bit.
+func sameAnswer(what string, x, y answer, notes *tally) (plan, bits bool) {
+	px, py := planOf(x), planOf(y)
+	plan, bits = px == py, fingerprint(x) == fingerprint(y)
+	if !plan {
+		notes.notes = append(notes.notes, fmt.Sprintf("determinism: %s was planned or grown differently when run again: %s, then %s", what, px, py))
+	}
+	if !bits {
+		notes.notes = append(notes.notes, fmt.Sprintf("determinism: %s answered differently when run again:\n  first %s\n  again %s", what, fingerprint(x), fingerprint(y)))
+	}
+	return plan, bits
+}
+
+// planOf renders what the determinism check requires to repeat exactly
+// besides the graded counts: each report's bootstrap count, planned
+// sample size and growth generations (a grouped report has only the
+// last).
+func planOf(a answer) string {
+	if a.groups != nil {
+		return fmt.Sprintf("[grouped iterations=%d]", a.groups.Iterations)
+	}
+	out := ""
+	for _, r := range a.reports {
+		out += fmt.Sprintf("[%s B=%d plannedN=%d iterations=%d]", r.Job, r.B, r.PlannedN, r.Iterations)
+	}
+	return out
 }
 
 // sameMetrics compares the seed-determined counts of two gradings.
@@ -467,13 +482,14 @@ func (d *deployment) crossCheck(t *tally) ([]float64, error) {
 }
 
 // heapSampler tracks the peak live Go heap, as of each garbage
-// collection, while the timed phase runs.
+// collection, while the timed phase runs, less the bytes the oracle's
+// own copy of the data holds at the time.
 type heapSampler struct {
 	stopc chan struct{}
 	done  chan float64
 }
 
-func startHeapSampler() *heapSampler {
+func startHeapSampler(oracle *atomic.Int64) *heapSampler {
 	h := &heapSampler{stopc: make(chan struct{}), done: make(chan float64)}
 	go func() {
 		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
@@ -482,7 +498,7 @@ func startHeapSampler() *heapSampler {
 		defer tick.Stop()
 		for {
 			metrics.Read(sample)
-			peak = math.Max(peak, float64(sample[0].Value.Uint64()))
+			peak = math.Max(peak, float64(sample[0].Value.Uint64())-float64(oracle.Load()))
 			select {
 			case <-h.stopc:
 				h.done <- peak

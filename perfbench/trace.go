@@ -460,16 +460,13 @@ func traceRun(d *deployment, seed uint64, lt loadResult, q qualityResult, exactM
 	w := d.w
 	var untracedMs []float64
 	var identical bool
-	if w.clients > 0 {
+	if w.shapes != nil {
 		srv, err := serve.New(instrument(d, t), serve.Config{})
 		if err != nil {
 			return nil, false, err
 		}
 		identical = true
 		for i, uo := range q.again {
-			if uo.idx >= w.traced {
-				continue
-			}
 			var res serve.QueryResult
 			var qerr error
 			before := readCounters(d.env)
@@ -505,7 +502,7 @@ func traceRun(d *deployment, seed uint64, lt loadResult, q qualityResult, exactM
 		tc := &tracedCycles{d: td, p: p, scratch: scratch}
 		cycles, rl := td.replayCycles(seed, tc)
 		var notes tally
-		_, differing := td.sameCycles(q.cycles, cycles, &notes)
+		_, _, differing := td.sameCycles(q.cycles, cycles, &notes)
 		identical = rl.failed == 0 && len(cycles) == w.quality && differing == 0
 		p.unfaith = append(p.unfaith, notes.notes...)
 		for _, cy := range q.cycles {

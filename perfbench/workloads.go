@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -45,16 +46,21 @@ type workload struct {
 	name       string
 	files      []fileSpec
 	cacheBytes int64 // scan-cache budget; 0 keeps the program's default
-	clients    int   // closed-loop clients (adhoc-plan, deep-resample)
-	shapes     []shape
+	// shapes is the closed loop's query mix: one client sends its next
+	// query when the previous one is answered (deep-resample). Without
+	// shapes the workload is the stream's open loop (ingest-watch).
+	shapes []shape
 	// quality is how many operations, in issue order, the seed-determined
-	// metrics are computed over: queries per client for the closed loops,
-	// append cycles for ingest-watch. traced is how many of the closed
-	// loops' quality queries per client the traced pass repeats.
+	// metrics are computed over: queries for the closed loop, append
+	// cycles for ingest-watch. traced is how many of the closed loop's
+	// quality queries the determinism check and the traced pass repeat.
 	quality, traced int
 
 	watches []watchSpec
-	stream  stream
+	// stream is ingest-watch's load. On the closed loop it is a side
+	// stream that runs before the client starts, so that append and
+	// freshness latency are measured on every workload.
+	stream stream
 }
 
 // stream is an open-loop append schedule and the reader behind it:
@@ -76,7 +82,9 @@ const (
 	paretoPath = "/data/pareto"
 	kvPath     = "/data/kv"
 	sidePath   = "/data/side"
-	blockSize  = 4 << 20 // DFS block size of every workload
+	// sideAppends is the length of the closed loop's side stream.
+	sideAppends = 120
+	blockSize   = 4 << 20 // DFS block size of every workload
 	// z95 turns a grouped result's CV into a 95% interval half-width.
 	z95 = 1.959964
 )
@@ -87,43 +95,27 @@ func above(t float64) func(float64) bool { return func(v float64) bool { return 
 func below(t float64) func(float64) bool { return func(v float64) bool { return v < t } }
 
 func workloads() map[string]*workload {
-	// The closed-loop workloads query three 2M-record files. After the
-	// queries, a small side file under one watch takes 100 appends at
-	// 40/s, so every workload reports append and freshness latency.
+	// The closed loop queries three 2M-record files. Its side stream
+	// appends to a 1M-record file under one watch in ingest-watch's
+	// batches of 10k records, at 10/s, a rate ingest-watch's generator
+	// was measured to keep up with; 120 appends leave twelve samples
+	// above the p90s.
 	threeFiles := []fileSpec{
 		{gaussPath, kindGauss, 2_000_000},
 		{paretoPath, kindPareto, 2_000_000},
 		{kvPath, kindKV, 2_000_000},
-		{sidePath, kindGauss, 100_000},
+		{sidePath, kindGauss, 1_000_000},
 	}
 	sideWatch := []watchSpec{{shape{label: "side-watch-mean", path: sidePath, stats: []string{"mean"}, sigma: 0.05}, 1}}
-	sideStream := stream{paths: []string{sidePath}, batch: 1000, ratePerSec: 40, minAppends: 100}
+	sideStream := stream{paths: []string{sidePath}, batch: 10_000, ratePerSec: 10, minAppends: sideAppends}
 	oneshotMean := shape{label: "oneshot-mean", path: gaussPath, stats: []string{"mean"}, sigma: 0.05, filter: "v > 80", keep: above(80)}
 	multi := shape{label: "multi", path: gaussPath, stats: []string{"mean", "p50", "p95", "count"}, sigma: 0.01}
 	return map[string]*workload{
-		// Planning-bound: planned samples are tiny, so the pilot and SSABE
-		// dominate each query, and two clients contend for the server. It
-		// is off BENCHMARK.json's list: its side-stream p90 was not steady
-		// (perfbench/README.md).
-		"adhoc-plan": {
-			name: "adhoc-plan", files: threeFiles, clients: 2, quality: 14, traced: 14,
-			watches: sideWatch, stream: sideStream,
-			shapes: []shape{
-				{label: "mean", path: gaussPath, stats: []string{"mean"}, sigma: 0.05},
-				{label: "sum", path: gaussPath, stats: []string{"sum"}, sigma: 0.05},
-				{label: "mean-tight", path: gaussPath, stats: []string{"mean"}, sigma: 0.01},
-				{label: "p50", path: gaussPath, stats: []string{"p50"}, sigma: 0.02},
-				{label: "pareto-p50", path: paretoPath, stats: []string{"p50"}, sigma: 0.05},
-				{label: "grouped-mean", path: kvPath, stats: []string{"mean"}, sigma: 0.05, grouped: true},
-				{label: "mean-sel1pct", path: gaussPath, stats: []string{"mean"}, sigma: 0.05,
-					filter: "v > 123.2635", keep: above(123.2635)},
-			},
-		},
 		// Resampling-, scan- and exact-fallback-bound: tight σ and heavy
 		// tails grow samples to tens of thousands of records, and the scan
 		// cache holds about a quarter of the decoded working set.
 		"deep-resample": {
-			name: "deep-resample", files: threeFiles, cacheBytes: 16 << 20, clients: 1, quality: minQueries, traced: 10,
+			name: "deep-resample", files: threeFiles, cacheBytes: 16 << 20, quality: minQueries, traced: 10,
 			watches: sideWatch, stream: sideStream,
 			// The shapes' latencies form separate clusters; the multi-statistic
 			// query runs twice per round so the median falls inside its
@@ -188,6 +180,17 @@ type deployment struct {
 	files map[string]*dataset
 	gens  map[string]*generator
 	subs  []subscription
+	// oracleBytes is what the oracle's copy of the data holds, which the
+	// heap sampler leaves out of the program's heap.
+	oracleBytes atomic.Int64
+}
+
+// grow adds appended records to the oracle's copy of path.
+func (d *deployment) grow(path string, vals []float64, keys []uint8) {
+	ds := d.files[path]
+	before := ds.bytes()
+	ds.add(vals, keys)
+	d.oracleBytes.Add(ds.bytes() - before)
 }
 
 // subscription is one subscriber of a maintained query.
@@ -238,9 +241,8 @@ func build(w *workload, seed uint64) (*deployment, error) {
 		if err := env.FS.WriteFile(f.path, out[i].data); err != nil {
 			return nil, fmt.Errorf("ingest %s: %w", f.path, err)
 		}
-		ds := &dataset{kind: f.kind}
-		ds.add(out[i].vals, out[i].keys)
-		d.files[f.path] = ds
+		d.files[f.path] = &dataset{kind: f.kind}
+		d.grow(f.path, out[i].vals, out[i].keys)
 	}
 	return d, nil
 }
